@@ -53,10 +53,13 @@ race:
 # scraper-vs-writers race consistency check, the Prometheus histogram
 # exposition format, the bounded flight ring, and the
 # zero-added-frames latency gate replaying E31's exact bill on every
-# transport). Keep this regex in lockstep with
-# .github/workflows/ci.yml.
+# transport), and the seq-block gates (zero allocations on the
+# single-caller inproc Inc and IncBatch(64) flight paths, every walk
+# staying inside its flight's sequence block, block replay, and the
+# dedup ring's horizon, race, occupancy and lazy-allocation tests).
+# Keep this regex in lockstep with .github/workflows/ci.yml.
 resilience:
-	$(GO) test -race -run 'TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged' ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance
+	$(GO) test -race -run 'TestRetryExactlyOnce|TestChaosSessionKill|TestDedupSurvives|TestDedupConfig|TestPoolHealthCheck|TestCounterCloseDuringRetry|TestLegacyFrames|TestFrameRoundTrip|TestPacketRoundTrip|FuzzFrameCodec|FuzzPacketCodec|TestUDPChaosExactCountGrid|TestUDPRetransmitExactlyOnce|TestUDPResponseLoss|TestUDPMalformedPackets|TestUDPBatchRPCsMatchTCPFloor|TestUDPPipelineReorderExactCount|TestUDPPipelineRPCFloorMatchesSerial|TestUDPShardWorkersBufferIsolation|TestWritePrometheusFormat|TestServeEndpoints|TestDrainOnSignal|TestFleetAggregation|TestShardControlPlaneEndpoints|TestCounterHealthFlipsAcrossDrain|TestShardedCounterEndpointAggregation|TestSIGTERMDrainExactCount|TestUDPShardControlPlaneEndpoints|TestMetricsMonotoneUnderChaos|TestHistogramRaceConsistency|TestPrometheusHistogramFormat|TestFlightRingBufferBounded|TestLatencyFrameBillUnchanged|TestCounterZeroAllocs|TestSeqBlock|TestDedupRing' ./internal/tcpnet ./internal/udpnet ./internal/wire ./internal/ctlplane ./internal/conformance ./internal/xport
 
 # The transport conformance suite pinned BY NAME, run under the race
 # detector: one behavioural contract — chaos exact-count grids,

@@ -48,7 +48,7 @@
 //     jittered retransmit timers, and per-client dedup windows making
 //     every mutating op exactly-once under packet loss, duplication
 //     and reordering. The whole client stack — coalescing, pooling,
-//     tape-driven retries, striping — is ONE implementation behind a
+//     seq-block retries, striping — is ONE implementation behind a
 //     transport seam; InprocCluster is the dependency-free in-memory
 //     transport on the same seam, with injectable call/reply loss, and
 //     `make conformance` runs the one suite every transport must pass.
@@ -563,7 +563,7 @@ type UDPCluster = udpnet.Cluster
 type UDPSession = udpnet.Session
 
 // UDPCounter is the cluster-wide coalescing client over UDP: the same
-// single-flight windows, pooled sessions and exactly-once tape-driven
+// single-flight windows, pooled sessions and exactly-once seq-block
 // retries as TCPCounter, with packet loss inside the retransmit budget
 // absorbed below the flight layer entirely. Create with
 // UDPCluster.NewCounter or NewCounterPool, or NewUDPClusterCounter.

@@ -9,7 +9,7 @@
 // balancer touched instead of k round trips per layer — and the
 // coalescing Counter client merges concurrent Inc callers into shared
 // pipelines automatically. That client (coalescing windows, pooled
-// health-probed sessions, tape-driven exactly-once retries) is not
+// health-probed sessions, seq-block exactly-once retries) is not
 // TCP code: it is the shared transport-seam core in internal/xport,
 // and the identical stack serves the UDP and in-memory transports —
 // see DESIGN.md's "The transport seam" and `make conformance`.

@@ -270,7 +270,7 @@ func TestConformanceChaosExactCountGrid(t *testing.T) {
 // next flight to fail AFTER part of its window was applied (TCP: the
 // connection dies after 3 frames; UDP: every datagram is sent twice;
 // inproc: three replies are lost post-apply). The retried window must
-// replay the sequence tape and land exactly once: dense values, exact
+// replay the sequence block and land exactly once: dense values, exact
 // Read.
 func TestConformanceRetryReplayExactlyOnce(t *testing.T) {
 	for _, fx := range transports {

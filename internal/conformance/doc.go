@@ -12,7 +12,7 @@
 //     lost calls and replies), a striped fleet still hands out dense,
 //     gap-free, duplicate-free values and reads back the exact total.
 //   - Exactly-once retry/replay: a flight that dies mid-window replays
-//     its sequence tape on a fresh session and the shard-side dedup
+//     its sequence block on a fresh session and the shard-side dedup
 //     absorbs every duplicate — no value leaks, no double-steps.
 //   - Close semantics: Close during concurrent flights drains cleanly,
 //     every caller observes xport.ErrClosed (the one shared sentinel),

@@ -9,7 +9,7 @@ import (
 // FlightEvent is one completed client flight as sampled into a
 // FlightRing: what an operator needs to explain a tail-latency spike
 // without a tracing dependency — when it ran, how long it took, how
-// many attempts (tape replays) it burned, and what it cost on the wire.
+// many attempts (sequence-block replays) it burned, and what it cost on the wire.
 type FlightEvent struct {
 	Start       time.Time `json:"start"`
 	DurationNs  int64     `json:"duration_ns"`

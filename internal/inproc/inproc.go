@@ -2,7 +2,7 @@
 // the third transport behind the xport seam, and the proof that the
 // seam is real: there is no socket anywhere in this package, yet the
 // full client stack (coalescing Counter, health-probed session pool,
-// exactly-once seq-tape retries, pid striping, control-plane sources)
+// exactly-once seq-block retries, pid striping, control-plane sources)
 // runs over it unchanged, because all of it lives in internal/xport and
 // this package only supplies the link.
 //
@@ -277,6 +277,7 @@ type Cluster struct {
 	fmu    sync.Mutex
 	faults Faults
 	rng    *rand.Rand
+	armed  atomic.Bool // rng != nil, readable without fmu
 
 	// loseReplies is the deterministic fault arm: the next n mutating
 	// exchanges apply server-side but report failure.
@@ -303,6 +304,7 @@ func (c *Cluster) SetFaults(f Faults) {
 	} else {
 		c.rng = nil
 	}
+	c.armed.Store(c.rng != nil)
 	c.fmu.Unlock()
 }
 
@@ -314,7 +316,10 @@ func (c *Cluster) LoseReplies(n int64) { c.loseReplies.Add(n) }
 
 // inject decides whether this exchange is lost, and at which side.
 // applied=true means the frame must still reach the shard (reply
-// loss); applied=false means it must not (call loss).
+// loss); applied=false means it must not (call loss). With no faults
+// armed it takes no lock: the armed flag is published under fmu, and
+// the seeded draws themselves still happen under it, in exchange
+// order, so a seed replays the same losses.
 func (c *Cluster) inject(mutating bool) (lose, applied bool) {
 	if mutating {
 		for {
@@ -326,6 +331,9 @@ func (c *Cluster) inject(mutating bool) (lose, applied bool) {
 				return true, true
 			}
 		}
+	}
+	if !c.armed.Load() {
+		return false, false
 	}
 	c.fmu.Lock()
 	defer c.fmu.Unlock()
@@ -362,6 +370,9 @@ func (c *Cluster) InWidth() int { return c.net.InWidth() }
 
 // OutWidth implements xport.Link with the topology's output width.
 func (c *Cluster) OutWidth() int { return c.net.OutWidth() }
+
+// SeqSpan implements xport.Link: the shared walk's frame bound.
+func (c *Cluster) SeqSpan(k int64) uint64 { return xport.SeqSpan(c.net, k) }
 
 // RetryBudget implements xport.Link: in-memory exchanges fail
 // instantly, so the flight-level retry window is short, like TCP's.
@@ -410,8 +421,7 @@ type Session struct {
 	client  uint64
 	entries []*wire.DedupEntry
 	rpcs    atomic.Int64
-	seqs    atomic.Uint64
-	tape    *wire.SeqTape
+	seqs    wire.SeqSource
 	walk    *xport.Walk
 	closed  bool
 }
@@ -442,9 +452,10 @@ func (s *Session) Close() {
 // success only, so the frame bill is integer-identical to TCP's.
 func (s *Session) RPCs() int64 { return s.rpcs.Load() }
 
-// SetTape points the session's mutating-frame sequence source at a
-// flight's rewindable tape (nil restores the session's own counter).
-func (s *Session) SetTape(tape *wire.SeqTape) { s.tape = tape }
+// SetSeqBlock points the session's mutating-frame sequence source at a
+// flight's reserved block (the zero block restores the session's own
+// counter).
+func (s *Session) SetSeqBlock(b wire.SeqBlock) { s.seqs.SetBlock(b) }
 
 // Healthy implements the xport pool's checkout probe: an idle session
 // is stale once any of its shards closed — the analogue of the TCP
@@ -458,16 +469,6 @@ func (s *Session) Healthy() bool {
 	return true
 }
 
-// nextSeq draws the next mutating-frame sequence number: from the
-// owning Counter's tape during a flight (replayable on retry), from the
-// session's own counter otherwise.
-func (s *Session) nextSeq() uint64 {
-	if s.tape != nil {
-		return s.tape.Take()
-	}
-	return s.seqs.Add(1)
-}
-
 // Exchange implements xport.Exchanger: one frame served by the owning
 // shard, through the cluster's fault injection. Mutating ops are
 // seq-numbered and deduplicated; READ is non-mutating and carries no
@@ -476,7 +477,11 @@ func (s *Session) Exchange(shard int, op byte, id int32, n int64) (int64, error)
 	var f wire.Frame
 	mutating := op != wire.OpRead
 	if mutating {
-		f = wire.Frame{Op: wire.V2Op(op), ID: id, Seq: s.nextSeq(), N: n}
+		seq, err := s.seqs.Next()
+		if err != nil {
+			return 0, err
+		}
+		f = wire.Frame{Op: wire.V2Op(op), ID: id, Seq: seq, N: n}
 	} else {
 		f = wire.Frame{Op: wire.OpRead, ID: id}
 	}

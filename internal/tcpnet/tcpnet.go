@@ -458,10 +458,9 @@ type Session struct {
 	client uint64
 	v2     bool // seq-number mutating frames (Counter-owned sessions)
 	conns  []net.Conn
-	rpcs   atomic.Int64  // round trips performed (E25's cost metric)
-	seqs   atomic.Uint64 // mutating-frame sequences outside a flight
-	tape   *wire.SeqTape // set by a Counter flight for replayable sequences
-	walk   *xport.Walk   // shared client-side protocol walker
+	rpcs   atomic.Int64   // round trips performed (E25's cost metric)
+	seqs   wire.SeqSource // the flight's sequence block, or the session's own numbering
+	walk   *xport.Walk    // shared client-side protocol walker
 
 	buf []byte // frame scratch, reused across calls
 }
@@ -522,23 +521,15 @@ func (s *Session) Close() {
 // RPCs returns the number of round trips this session has performed.
 func (s *Session) RPCs() int64 { return s.rpcs.Load() }
 
-// nextSeq draws the next mutating-frame sequence number: from the
-// owning Counter's tape during a flight (replayable on retry), from the
-// session's own counter otherwise.
-func (s *Session) nextSeq() uint64 {
-	if s.tape != nil {
-		return s.tape.Take()
-	}
-	return s.seqs.Add(1)
-}
-
 // mut builds one mutating frame from its v1 op: seq-numbered v2 on
-// Counter-owned sessions, plain v1 on standalone ones.
-func (s *Session) mut(op byte, id int32, n int64) wire.Frame {
+// Counter-owned sessions (the number drawn from the flight's block),
+// plain v1 on standalone ones.
+func (s *Session) mut(op byte, id int32, n int64) (wire.Frame, error) {
 	if !s.v2 {
-		return wire.Frame{Op: op, ID: id, N: n}
+		return wire.Frame{Op: op, ID: id, N: n}, nil
 	}
-	return wire.Frame{Op: wire.V2Op(op), ID: id, Seq: s.nextSeq(), N: n}
+	seq, err := s.seqs.Next()
+	return wire.Frame{Op: wire.V2Op(op), ID: id, Seq: seq, N: n}, err
 }
 
 // send performs one request/response round trip on the given shard.
@@ -570,11 +561,11 @@ func (s *Session) Healthy() bool {
 	return true
 }
 
-// SetTape points the session's mutating-frame sequence source at a
-// flight's rewindable tape (nil restores the session's own counter) —
-// the xport pool calls it around every flight attempt so retries
-// re-send identical (client, seq) pairs.
-func (s *Session) SetTape(tape *wire.SeqTape) { s.tape = tape }
+// SetSeqBlock points the session's mutating-frame sequence source at a
+// flight's reserved block (the zero block restores the session's own
+// counter) — the xport Counter calls it around every flight attempt so
+// retries re-send identical (client, seq) pairs.
+func (s *Session) SetSeqBlock(b wire.SeqBlock) { s.seqs.SetBlock(b) }
 
 // Exchange implements xport.Exchanger: one framed request/response
 // round trip to the given shard. Mutating ops are built through mut
@@ -584,7 +575,10 @@ func (s *Session) Exchange(shard int, op byte, id int32, n int64) (int64, error)
 	if op == wire.OpRead {
 		return s.send(shard, &wire.Frame{Op: wire.OpRead, ID: id})
 	}
-	f := s.mut(op, id, n)
+	f, err := s.mut(op, id, n)
+	if err != nil {
+		return 0, err
+	}
 	return s.send(shard, &f)
 }
 
@@ -665,7 +659,7 @@ func (c *Cluster) Hops() int { return c.net.Depth() + 1 }
 // Everything above this line is the TCP link: shard servers, framed
 // connections, and a Session walking the shared protocol over them.
 // Everything a client stacks on top — the coalescing single-flight
-// Counter, the health-probed session pool, the exactly-once seq-tape
+// Counter, the health-probed session pool, the exactly-once seq-block
 // retry loop, pid striping — lives once in internal/xport; the aliases
 // below keep this package's historical API surface.
 
@@ -687,6 +681,9 @@ func (c *Cluster) OutWidth() int { return c.net.OutWidth() }
 func (c *Cluster) Dial(client uint64) (xport.Session, error) {
 	return c.newSession(client, true)
 }
+
+// SeqSpan implements xport.Link: the shared walk's frame bound.
+func (c *Cluster) SeqSpan(k int64) uint64 { return xport.SeqSpan(c.net, k) }
 
 // RetryBudget implements xport.Link: a TCP redial fails in
 // milliseconds, so a failed flight keeps retrying for a short window.

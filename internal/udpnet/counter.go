@@ -18,8 +18,8 @@ var ErrClosed = xport.ErrClosed
 // packet) is re-run on fresh sessions up to DefaultRetryAttempts total
 // tries within DefaultRetryBudget of the first failure, paced by
 // DefaultRetryBackoff. The retry re-draws the identical sequence
-// numbers from the flight's tape, so whatever the dead attempts already
-// applied is replayed, not re-executed. Attempts and backoff are the
+// numbers from the flight's block, so whatever the dead attempts
+// already applied is replayed, not re-executed. Attempts and backoff are the
 // shared xport defaults; the budget is the UDP-specific value the
 // Cluster link advertises — wide, because a flight only fails after a
 // whole retransmit budget drained.
@@ -62,6 +62,11 @@ func (c *Cluster) OutWidth() int { return c.net.OutWidth() }
 func (c *Cluster) Dial(client uint64) (xport.Session, error) {
 	return c.newSession(client)
 }
+
+// SeqSpan implements xport.Link. The layer-packed walk sends one STEPN
+// frame per balancer and one CELLN per exit cell it touches — the same
+// frames as the shared walk — so it shares the shared walk's bound.
+func (c *Cluster) SeqSpan(k int64) uint64 { return xport.SeqSpan(c.net, k) }
 
 // RetryBudget implements xport.Link: a UDP flight failure already
 // consumed a whole per-exchange retransmit budget, so the flight-level

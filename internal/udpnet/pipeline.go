@@ -25,9 +25,10 @@ import (
 // Exactly-once is untouched by any of it: a pipelined session sends THE
 // SAME frames with THE SAME (client, seq) pairs as a stop-and-wait
 // session, just more of them concurrently — and the shard's per-client
-// dedup window (4096 frames deep, against at most depth packets ≈ a
-// few hundred frames in flight) already absorbs duplicates and replays
-// recorded replies whatever order the window's packets land in.
+// dedup ring (8192 sequence numbers deep, against at most depth
+// packets ≈ a few hundred frames in flight) already absorbs duplicates
+// and replays recorded replies whatever order the window's packets
+// land in.
 //
 // Retransmit timers live in the reader, not in time.AfterFunc: the
 // reader's next Read deadline is the earliest resend time among the

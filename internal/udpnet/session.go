@@ -124,12 +124,11 @@ type Session struct {
 	conns   []net.Conn
 	policy  wire.RetryPolicy
 	timer   wire.Backoff
-	rpcs    atomic.Int64  // request frames sent (retransmits included)
-	packets atomic.Int64  // request datagrams sent, first sends and retransmits
-	retrans atomic.Int64  // of which retransmits
-	seqs    atomic.Uint64 // mutating-frame sequences outside a flight
-	tape    *wire.SeqTape // set by a Counter flight for replayable sequences
-	reqid   uint64        // request-id source (sessions are single-goroutine)
+	rpcs    atomic.Int64   // request frames sent (retransmits included)
+	packets atomic.Int64   // request datagrams sent, first sends and retransmits
+	retrans atomic.Int64   // of which retransmits
+	seqs    wire.SeqSource // the flight's sequence block, or the session's own numbering
+	reqid   uint64         // request-id source (sessions are single-goroutine)
 
 	// Pipelining state: the per-socket window depth (1 = stop-and-wait,
 	// the serial path below), the lazily created per-socket pipes, and
@@ -149,11 +148,12 @@ type Session struct {
 	tally   []int64
 	dist    []int64
 
-	// Pipelined fan-out scratch: handles per layer, the handle-range cut
-	// per shard, and per-shard id lists that must outlive the submit
-	// phase (s.ids is rebuilt per shard, these survive until await).
+	// Pipelined fan-out scratch: handles per layer, the handle-range and
+	// frame-range cuts per shard, and per-shard id lists that must
+	// outlive the submit phase (these survive until await).
 	hnds  []*handle
 	shCut []int
+	frCut []int
 	shIDs [][]int32
 }
 
@@ -252,30 +252,22 @@ func (s *Session) Retransmits() int64 { return s.retrans.Load() }
 // session's pipelined sockets (implements xport.PacketSession).
 func (s *Session) Outstanding() int64 { return s.outstanding.Load() }
 
-// SetTape points the session's mutating-frame sequence source at a
-// flight's rewindable tape (nil restores the session's own counter) —
-// the xport pool calls it around every flight attempt so retries
-// re-send identical (client, seq) pairs.
-func (s *Session) SetTape(tape *wire.SeqTape) { s.tape = tape }
+// SetSeqBlock points the session's mutating-frame sequence source at a
+// flight's reserved block (the zero block restores the session's own
+// counter) — the xport Counter calls it around every flight attempt so
+// retries re-send identical (client, seq) pairs.
+func (s *Session) SetSeqBlock(b wire.SeqBlock) { s.seqs.SetBlock(b) }
 
 // Healthy implements the xport pool's checkout probe. A UDP socket has
 // no peer state to go stale — failure lives entirely in the exchange
 // retransmit path — so an idle session is always healthy.
 func (s *Session) Healthy() bool { return true }
 
-// nextSeq draws the next mutating-frame sequence number: from the
-// owning Counter's tape during a flight (replayable on retry), from the
-// session's own counter otherwise.
-func (s *Session) nextSeq() uint64 {
-	if s.tape != nil {
-		return s.tape.Take()
-	}
-	return s.seqs.Add(1)
-}
-
-// mut builds one seq-numbered v2 mutating frame from its v1 op.
-func (s *Session) mut(op byte, id int32, n int64) wire.Frame {
-	return wire.Frame{Op: wire.V2Op(op), ID: id, Seq: s.nextSeq(), N: n}
+// mut builds one seq-numbered v2 mutating frame from its v1 op, the
+// number drawn from the flight's block.
+func (s *Session) mut(op byte, id int32, n int64) (wire.Frame, error) {
+	seq, err := s.seqs.Next()
+	return wire.Frame{Op: wire.V2Op(op), ID: id, Seq: seq, N: n}, err
 }
 
 // exchange performs one datagram round trip against a shard: a packet
@@ -434,7 +426,11 @@ func (s *Session) Inc(pid int) (int64, error) {
 	node, port := s.c.net.InputDest(in)
 	var one [1]wire.Frame
 	for node >= 0 {
-		one[0] = s.mut(wire.OpStep, int32(node), 0)
+		f, err := s.mut(wire.OpStep, int32(node), 0)
+		if err != nil {
+			return 0, err
+		}
+		one[0] = f
 		vals, err := s.exchange(node%shards, one[:], s.vals[:0])
 		s.vals = vals[:0]
 		if err != nil {
@@ -442,7 +438,11 @@ func (s *Session) Inc(pid int) (int64, error) {
 		}
 		node, port = s.c.net.Dest(node, int(vals[0]))
 	}
-	one[0] = s.mut(wire.OpCell, int32(port)|int32(s.c.stride)<<16, 0)
+	f, err := s.mut(wire.OpCell, int32(port)|int32(s.c.stride)<<16, 0)
+	if err != nil {
+		return 0, err
+	}
+	one[0] = f
 	vals, err := s.exchange(port%shards, one[:], s.vals[:0])
 	s.vals = vals[:0]
 	if err != nil {
@@ -536,7 +536,12 @@ func (s *Session) Batch(in int, k int64, anti bool, dst []int64) ([]int64, error
 				if anti {
 					sendN = -sendN
 				}
-				s.frames = append(s.frames, s.mut(wire.OpStepN, id, sendN))
+				f, err := s.mut(wire.OpStepN, id, sendN)
+				if err != nil {
+					clear(pending) // leave the scratch reusable
+					return dst, err
+				}
+				s.frames = append(s.frames, f)
 				s.ids = append(s.ids, id)
 			}
 			if len(s.frames) == 0 {
@@ -566,7 +571,11 @@ func (s *Session) Batch(in int, k int64, anti bool, dst []int64) ([]int64, error
 			if anti {
 				sendN = -cnt
 			}
-			s.frames = append(s.frames, s.mut(wire.OpCellN, int32(wireOut)|int32(stride)<<16, sendN))
+			f, err := s.mut(wire.OpCellN, int32(wireOut)|int32(stride)<<16, sendN)
+			if err != nil {
+				return dst, err
+			}
+			s.frames = append(s.frames, f)
 			s.ids = append(s.ids, int32(wireOut))
 		}
 		if len(s.frames) == 0 {
@@ -633,27 +642,44 @@ func (s *Session) applyCells(ids []int32, vals []int64, tally []int64, anti bool
 	return dst
 }
 
-// fanScratch readies the per-shard fan-out scratch.
+// fanScratch readies the per-shard fan-out scratch: one frame group
+// per shard is built into s.frames (cut by frCut) before any is
+// submitted.
 func (s *Session) fanScratch(shards int) {
 	if s.shIDs == nil {
 		s.shIDs = make([][]int32, len(s.conns))
 		s.shCut = make([]int, len(s.conns)+1)
+		s.frCut = make([]int, len(s.conns)+1)
 	}
 	s.hnds = s.hnds[:0]
+	s.frames = s.frames[:0]
+}
+
+// submitFan submits each shard's frame group (s.frames cut by frCut) to
+// its pipe, recording the handle cut per shard for awaitFan.
+func (s *Session) submitFan(shards int) {
+	s.frCut[shards] = len(s.frames)
+	for shard := 0; shard < shards; shard++ {
+		s.shCut[shard] = len(s.hnds)
+		if fr := s.frames[s.frCut[shard]:s.frCut[shard+1]]; len(fr) != 0 {
+			s.hnds = s.submitChunks(s.pipe(shard), fr, s.hnds)
+		}
+	}
+	s.shCut[shards] = len(s.hnds)
 }
 
 // stepLayerPipelined walks one layer with every shard in flight at
-// once: build and submit each shard's STEPN chunks (drawing sequence
-// numbers in the exact order the serial path would, so a retried
-// flight replays identically), flush all pipes, then await shard by
-// shard and fold the replies. The await order is the submit order, so
-// the values line up with the ids by construction.
+// once: build every shard's STEPN frames (drawing sequence numbers in
+// the exact order the serial path would, so a retried flight replays
+// identically — and failing before anything is sent if the flight's
+// block runs out), submit them, then await shard by shard and fold the
+// replies. The await order is the submit order, so the values line up
+// with the ids by construction.
 func (s *Session) stepLayerPipelined(layer []int32, shards int, pending, tally []int64, anti bool) error {
 	s.fanScratch(shards)
 	for shard := 0; shard < shards; shard++ {
-		s.shCut[shard] = len(s.hnds)
+		s.frCut[shard] = len(s.frames)
 		ids := s.shIDs[shard][:0]
-		s.frames = s.frames[:0]
 		for _, id := range layer {
 			if int(id)%shards != shard || pending[id] == 0 {
 				continue
@@ -662,15 +688,16 @@ func (s *Session) stepLayerPipelined(layer []int32, shards int, pending, tally [
 			if anti {
 				sendN = -sendN
 			}
-			s.frames = append(s.frames, s.mut(wire.OpStepN, id, sendN))
+			f, err := s.mut(wire.OpStepN, id, sendN)
+			if err != nil {
+				return err
+			}
+			s.frames = append(s.frames, f)
 			ids = append(ids, id)
 		}
 		s.shIDs[shard] = ids
-		if len(s.frames) != 0 {
-			s.hnds = s.submitChunks(s.pipe(shard), s.frames, s.hnds)
-		}
 	}
-	s.shCut[shards] = len(s.hnds)
+	s.submitFan(shards)
 	return s.awaitFan(shards, func(shard int, vals []int64) {
 		s.applyStep(s.shIDs[shard], vals, pending, tally)
 	})
@@ -683,9 +710,8 @@ func (s *Session) cellsPipelined(shards int, tally []int64, anti bool, dst []int
 	s.fanScratch(shards)
 	stride := s.c.stride
 	for shard := 0; shard < shards; shard++ {
-		s.shCut[shard] = len(s.hnds)
+		s.frCut[shard] = len(s.frames)
 		ids := s.shIDs[shard][:0]
-		s.frames = s.frames[:0]
 		for wireOut, cnt := range tally {
 			if cnt == 0 || wireOut%shards != shard {
 				continue
@@ -694,15 +720,16 @@ func (s *Session) cellsPipelined(shards int, tally []int64, anti bool, dst []int
 			if anti {
 				sendN = -cnt
 			}
-			s.frames = append(s.frames, s.mut(wire.OpCellN, int32(wireOut)|int32(stride)<<16, sendN))
+			f, err := s.mut(wire.OpCellN, int32(wireOut)|int32(stride)<<16, sendN)
+			if err != nil {
+				return dst, err
+			}
+			s.frames = append(s.frames, f)
 			ids = append(ids, int32(wireOut))
 		}
 		s.shIDs[shard] = ids
-		if len(s.frames) != 0 {
-			s.hnds = s.submitChunks(s.pipe(shard), s.frames, s.hnds)
-		}
 	}
-	s.shCut[shards] = len(s.hnds)
+	s.submitFan(shards)
 	err := s.awaitFan(shards, func(shard int, vals []int64) {
 		dst = s.applyCells(s.shIDs[shard], vals, tally, anti, dst)
 	})
@@ -773,9 +800,8 @@ func (s *Session) Read() (int64, error) {
 		// whole-cluster read costs one round trip, not one per shard.
 		s.fanScratch(shards)
 		for shard := 0; shard < shards; shard++ {
-			s.shCut[shard] = len(s.hnds)
+			s.frCut[shard] = len(s.frames)
 			ids := s.shIDs[shard][:0]
-			s.frames = s.frames[:0]
 			for w := 0; w < n.OutWidth(); w++ {
 				if w%shards != shard {
 					continue
@@ -784,11 +810,8 @@ func (s *Session) Read() (int64, error) {
 				ids = append(ids, int32(w))
 			}
 			s.shIDs[shard] = ids
-			if len(s.frames) != 0 {
-				s.hnds = s.submitChunks(s.pipe(shard), s.frames, s.hnds)
-			}
 		}
-		s.shCut[shards] = len(s.hnds)
+		s.submitFan(shards)
 		err := s.awaitFan(shards, func(shard int, vals []int64) {
 			for i, w := range s.shIDs[shard] {
 				total += (vals[i] - int64(w)) / s.c.stride

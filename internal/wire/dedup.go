@@ -9,15 +9,22 @@ import (
 	"repro/internal/ctlplane"
 )
 
-// Default dedup bounds: a shard remembers the (seq, reply) pairs of at
-// most DefaultDedupWindow applied mutating frames per client, and
+// Default dedup bounds: a shard remembers, per client, the replies of
+// that client's mutating frames in a direct-mapped ring of
+// DefaultDedupWindow slots indexed by sequence number mod Window, and
 // tracks at most DefaultDedupClients clients (least-recently-registered
 // unpinned client evicted first). The window is the exactly-once
-// horizon — a retry is deduplicated as long as fewer than Window newer
-// frames from the same client reached the shard in between, which a
-// prompt bounded-budget retry stays far inside of.
+// horizon, counted in the client's SEQUENCE NUMBERS — reserved-but-
+// unused ones and those spent on other shards included: a retry of seq
+// s is deduplicated until a frame with seq >= s+Window from the same
+// client reaches this shard, which a prompt bounded-budget retry stays
+// far inside of. A client's dense stream spreads its numbers over the
+// fleet, so on two shards 8192 slots keep the ~4096-frames-per-shard
+// horizon of a frame-counted window. A full ring costs 16 bytes a slot
+// (128 KiB per client per shard at the default), allocated on the
+// client's first mutating frame, not at registration.
 const (
-	DefaultDedupWindow  = 4096
+	DefaultDedupWindow  = 8192
 	DefaultDedupClients = 1024
 )
 
@@ -35,7 +42,7 @@ const (
 const DefaultDedupMinIdle = 10 * time.Second
 
 // DedupConfig sizes a shard's exactly-once state: Window is the number
-// of (seq, reply) records kept per client, Clients the number of
+// of (seq, reply) ring slots kept per client, Clients the number of
 // clients tracked, MinIdle the how-recently-bound guard protecting
 // live-but-unpinned clients from cap eviction (negative disables it).
 // Zero fields take the defaults, so the zero value is the production
@@ -77,7 +84,7 @@ func (c DedupConfig) withDefaults() DedupConfig {
 }
 
 // Dedup is one shard's per-client exactly-once table: bounded
-// (seq, reply) windows keyed by client id, with LRU eviction of
+// (seq, reply) rings keyed by client id, with LRU eviction of
 // unpinned clients at the Clients cap.
 type Dedup struct {
 	cfg     DedupConfig
@@ -86,7 +93,7 @@ type Dedup struct {
 	lru     list.List                // most recently registered first
 
 	// Control-plane counters (see Stats / RegisterMetrics). records is
-	// the live (seq, reply) occupancy across all windows; replays and
+	// the filled ring slots across all windows; replays and
 	// evictions are monotone. They are bare atomic adds on paths already
 	// holding a lock, so the hot path pays nothing measurable.
 	records     atomic.Int64
@@ -115,14 +122,22 @@ type DedupEntry struct {
 	refs     int
 	lastBind time.Time // guarded by the table's mutex
 
-	// The client's bounded exactly-once window: the replies of its last
-	// Window applied mutating frames, keyed by sequence number, with
-	// FIFO eviction.
-	win     int
-	wmu     sync.Mutex
-	replies map[uint64]int64
-	order   []uint64 // insertion-order ring over recorded seqs
-	head    int
+	// The client's bounded exactly-once window: a direct-mapped ring of
+	// (seq, reply) slots, seq s living in slot s mod Window. It is
+	// allocated on the first Do, so a binding that only reads (or a
+	// client id that never mutates here) costs no ring. filled counts
+	// occupied slots, for the records gauge.
+	wmu    sync.Mutex
+	win    uint64
+	ring   []dedupSlot
+	filled int64
+}
+
+// dedupSlot is one ring slot; seq 0 marks it empty (sequence numbers
+// start at 1).
+type dedupSlot struct {
+	seq   uint64
+	reply int64
 }
 
 // Do replays the recorded reply for an already-applied sequence, or
@@ -131,26 +146,32 @@ type DedupEntry struct {
 // connections or two datagrams) cannot double-apply; exec is a single
 // atomic word operation, so serializing a client's frames per shard
 // here costs lock-handoff nanoseconds against microsecond round trips.
+//
+// A sequence whose slot a newer one (seq >= s+Window) has taken over is
+// past the horizon: it executes again, and its reply is not recorded
+// over the newer one's.
 func (e *DedupEntry) Do(seq uint64, exec func() (int64, bool)) (int64, bool) {
 	e.wmu.Lock()
 	defer e.wmu.Unlock()
-	if v, ok := e.replies[seq]; ok {
+	if e.ring == nil {
+		e.ring = make([]dedupSlot, e.win)
+	}
+	sl := &e.ring[seq%e.win]
+	if sl.seq == seq {
 		e.tab.replays.Add(1)
-		return v, true
+		return sl.reply, true
 	}
 	v, ok := exec()
 	if !ok {
 		return 0, false
 	}
-	if len(e.order) == e.win {
-		delete(e.replies, e.order[e.head])
-		e.order[e.head] = seq
-		e.head = (e.head + 1) % e.win
-	} else {
-		e.order = append(e.order, seq)
-		e.tab.records.Add(1)
+	if sl.seq < seq {
+		if sl.seq == 0 {
+			e.filled++
+			e.tab.records.Add(1)
+		}
+		sl.seq, sl.reply = seq, v
 	}
-	e.replies[seq] = v
 	return v, true
 }
 
@@ -192,14 +213,14 @@ func (d *Dedup) Bind(id uint64) *DedupEntry {
 				delete(d.clients, e.id)
 				// refs == 0 under the table mutex means no Do is running
 				// (Do only happens between Bind and Release), so the
-				// window length is stable here.
-				d.records.Add(-int64(len(e.replies)))
+				// filled count is stable here.
+				d.records.Add(-e.filled)
 				d.evictions.Add(1)
 			}
 			break
 		}
 	}
-	e := &DedupEntry{id: id, tab: d, refs: 1, lastBind: now, win: d.cfg.Window, replies: make(map[uint64]int64)}
+	e := &DedupEntry{id: id, tab: d, refs: 1, lastBind: now, win: uint64(d.cfg.Window)}
 	d.clients[id] = d.lru.PushFront(e)
 	return e
 }
@@ -229,8 +250,8 @@ func (d *Dedup) expireLocked(now time.Time) {
 		d.lru.Remove(el)
 		delete(d.clients, e.id)
 		// refs == 0 under the table mutex means no Do is running, so
-		// the window length is stable here.
-		d.records.Add(-int64(len(e.replies)))
+		// the filled count is stable here.
+		d.records.Add(-e.filled)
 		d.expirations.Add(1)
 	}
 }
@@ -250,7 +271,7 @@ func (d *Dedup) Release(e *DedupEntry) {
 type DedupStats struct {
 	Clients     int           // client windows currently tracked
 	Pinned      int           // of which pinned by a live binding
-	Records     int64         // (seq, reply) records held across all windows
+	Records     int64         // filled (seq, reply) ring slots across all windows
 	Replays     int64         // frames answered from a record (absorbed duplicates)
 	Evictions   int64         // client windows evicted at the Clients cap
 	Expirations int64         // client windows expired by the MaxIdle age bound

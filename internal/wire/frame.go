@@ -1,9 +1,9 @@
 // Package wire is the transport-agnostic substrate under the
 // distributed deployments: the canonical binary frame codec shared by
 // the TCP (internal/tcpnet) and UDP (internal/udpnet) transports, the
-// datagram packing layer, the bounded per-client dedup tables that make
-// retried mutating frames exactly-once, the rewindable sequence tape
-// client retries draw their numbers from, and the jittered-exponential
+// datagram packing layer, the bounded per-client dedup rings that make
+// retried mutating frames exactly-once, the per-flight sequence blocks
+// client retries replay their numbers from, and the jittered-exponential
 // backoff / retry-budget types both transports pace their recoveries
 // with.
 //
@@ -197,48 +197,56 @@ func init() { clientIDs.Store(rand.Uint64()) }
 // NextClientID returns a fresh process-unique client id.
 func NextClientID() uint64 { return clientIDs.Add(1) }
 
-// SeqTape draws monotone sequence numbers from a counter shared across a
-// client's flights and records them in issue order, so a rewound retry
-// re-sends the IDENTICAL sequence number on the identical frame. Frame i
-// of attempt 2 is frame i of attempt 1 because the walk is
-// deterministic: batches replay the topology, and single-token walks are
-// steered by replies that the shards' dedup windows replay verbatim for
-// already-applied sequences.
-type SeqTape struct {
-	src     *atomic.Uint64
-	used    []uint64
-	next    int
-	rewinds int64
+// ErrSeqBlockExhausted reports a flight drawing more sequence numbers
+// than its block reserved. The link's span bound makes it unreachable
+// for a correct walk; a walk that hits it fails its flight instead of
+// reusing a neighbouring flight's numbers.
+var ErrSeqBlockExhausted = errors.New("wire: sequence block exhausted")
+
+// SeqBlock is the contiguous run of sequence numbers [Base, Base+Span)
+// one flight reserved with a single atomic add. Frame i of every
+// attempt of the flight carries Base+i: the walk is deterministic
+// (batches replay the topology, and single-token walks are steered by
+// replies the shards' dedup windows replay verbatim for
+// already-applied sequences), so a retry re-sends the IDENTICAL
+// (client, seq) pairs by arithmetic alone. The zero value (Base 0) is
+// "no block"; reserved blocks always start at 1 or later.
+type SeqBlock struct {
+	Base uint64
+	Span uint64
 }
 
-// NewSeqTape starts an empty tape drawing fresh numbers from src.
-func NewSeqTape(src *atomic.Uint64) *SeqTape { return &SeqTape{src: src} }
+// ReserveSeqs reserves span fresh sequence numbers from src. A span of
+// 0 (a read-only flight) still yields a non-zero Base, so the flight's
+// sessions draw from an empty block and fail rather than fall back to
+// a numbering the dedup windows could confuse with another flight's.
+func ReserveSeqs(src *atomic.Uint64, span uint64) SeqBlock {
+	return SeqBlock{Base: src.Add(span) - span + 1, Span: span}
+}
 
-// Take returns the next sequence number: a recorded one while replaying
-// after Rewind, a fresh one from the source past the recorded end.
-func (tp *SeqTape) Take() uint64 {
-	if tp.next < len(tp.used) {
-		v := tp.used[tp.next]
-		tp.next++
-		return v
+// SeqSource is a session's mutating-frame sequence source: the current
+// flight's block while one is set, the session's own counter
+// otherwise. Sessions are single-goroutine, and so is their source.
+type SeqSource struct {
+	own  uint64
+	blk  SeqBlock
+	used uint64 // draws from blk since it was set
+}
+
+// SetBlock points the source at a flight attempt's block, restarting
+// its draws at Base; the zero block restores the session's own counter.
+func (s *SeqSource) SetBlock(b SeqBlock) { s.blk, s.used = b, 0 }
+
+// Next draws the next sequence number: Base+i for the i-th draw of the
+// current attempt, or ErrSeqBlockExhausted past the block's end.
+func (s *SeqSource) Next() (uint64, error) {
+	if s.blk.Base == 0 {
+		s.own++
+		return s.own, nil
 	}
-	v := tp.src.Add(1)
-	tp.used = append(tp.used, v)
-	tp.next = len(tp.used)
-	return v
-}
-
-// Rewind restarts the tape for a retry attempt. A rewind of a tape
-// that has recorded nothing (the one before the first attempt) is not
-// counted, so Rewinds reports true retries.
-func (tp *SeqTape) Rewind() {
-	if tp.next > 0 || len(tp.used) > 0 {
-		tp.rewinds++
+	if s.used >= s.blk.Span {
+		return 0, ErrSeqBlockExhausted
 	}
-	tp.next = 0
+	s.used++
+	return s.blk.Base + s.used - 1, nil
 }
-
-// Rewinds returns how many retry attempts replayed this tape — the
-// control plane's flight-retry count. Tapes are single-goroutine, so
-// callers read this after the flight settles.
-func (tp *SeqTape) Rewinds() int64 { return tp.rewinds }

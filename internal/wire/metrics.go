@@ -56,7 +56,7 @@ const (
 	HelpDedupPinned   = "Tracked client windows pinned against eviction by a live connection or in-flight packet."
 
 	MetricDedupRecords = "countnet_dedup_records"
-	HelpDedupRecords   = "(seq, reply) records held across all client windows — the dedup occupancy."
+	HelpDedupRecords   = "Filled (seq, reply) ring slots across all client windows — the dedup occupancy."
 
 	MetricDedupReplays = "countnet_dedup_replays_total"
 	HelpDedupReplays   = "Mutating frames answered from a recorded reply instead of re-executed — each one an absorbed duplicate or retry."
@@ -84,7 +84,7 @@ const (
 	HelpClientFlights   = "Pooled flights started: each checks a session out, runs one operation, and checks it back in."
 
 	MetricClientRetries = "countnet_client_flight_retries_total"
-	HelpClientRetries   = "Flight attempts beyond the first — each re-sent its full window from the sequence tape on a fresh session."
+	HelpClientRetries   = "Flight attempts beyond the first — each replayed its flight's sequence block on a fresh session."
 
 	MetricClientInflight = "countnet_client_inflight"
 	HelpClientInflight   = "Flights currently holding pool sessions; zero is the quiescence an exact-count Read requires."
@@ -140,7 +140,7 @@ const (
 	HelpClientCheckoutSeconds   = "Time flights spent checking a session out of the pool, health probes and fresh dials included."
 
 	MetricClientFlightAttempts = "countnet_client_flight_attempts"
-	HelpClientFlightAttempts   = "Tries per completed flight: 1 on a clean link, more means sessions died mid-flight and the tape replayed."
+	HelpClientFlightAttempts   = "Tries per completed flight: 1 on a clean link, more means sessions died mid-flight and the sequence block replayed."
 
 	MetricClientFlightEvents = "countnet_client_flight_events"
 	HelpClientFlightEvents   = "Completed flights currently retained in the /debug/flights ring buffer."

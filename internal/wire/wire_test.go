@@ -1,13 +1,14 @@
 package wire
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // A dedup entry replays recorded replies for already-applied sequences
-// and evicts FIFO past its window.
+// and forgets a sequence once a newer one takes over its ring slot.
 func TestDedupWindowReplayAndEviction(t *testing.T) {
 	d := NewDedup(DedupConfig{Window: 4, Clients: 2})
 	e := d.Bind(1)
@@ -29,7 +30,7 @@ func TestDedupWindowReplayAndEviction(t *testing.T) {
 	if execs != 4 {
 		t.Fatalf("execs = %d, want 4", execs)
 	}
-	// Push past the window: seq 1 falls out FIFO and re-executes.
+	// Push past the window: seq 5 takes seq 1's slot, so 1 re-executes.
 	if _, ok := e.Do(5, exec(50)); !ok {
 		t.Fatal("seq 5 failed")
 	}
@@ -184,19 +185,41 @@ func TestBackoffDelayBounds(t *testing.T) {
 	}
 }
 
-// The tape replays identical sequence numbers after a rewind and only
-// draws fresh ones past the recorded end.
-func TestSeqTapeRewind(t *testing.T) {
+// A seq block replays by arithmetic: every attempt that sets the same
+// block draws Base, Base+1, ... again, a neighbouring flight's block
+// never overlaps, drawing past the end fails instead of reusing a
+// neighbour's numbers, and the zero block restores the session's own
+// numbering.
+func TestSeqBlockReplay(t *testing.T) {
 	var src atomic.Uint64
-	tp := NewSeqTape(&src)
-	first := []uint64{tp.Take(), tp.Take(), tp.Take()}
-	tp.Rewind()
-	for i, want := range first {
-		if got := tp.Take(); got != want {
-			t.Fatalf("replayed seq %d = %d, want %d", i, got, want)
+	blk := ReserveSeqs(&src, 3)
+	next := ReserveSeqs(&src, 2)
+	if blk.Base == 0 || next.Base != blk.Base+blk.Span {
+		t.Fatalf("blocks %+v then %+v: not adjacent and disjoint", blk, next)
+	}
+	var s SeqSource
+	for attempt := 1; attempt <= 3; attempt++ {
+		s.SetBlock(blk)
+		for i := uint64(0); i < blk.Span; i++ {
+			if got, err := s.Next(); err != nil || got != blk.Base+i {
+				t.Fatalf("attempt %d draw %d = (%d, %v), want (%d, nil)", attempt, i, got, err, blk.Base+i)
+			}
+		}
+		if got, err := s.Next(); !errors.Is(err, ErrSeqBlockExhausted) {
+			t.Fatalf("attempt %d overrun = (%d, %v), want ErrSeqBlockExhausted", attempt, got, err)
 		}
 	}
-	if next := tp.Take(); next != first[len(first)-1]+1 {
-		t.Fatalf("post-replay seq = %d, want %d", next, first[len(first)-1]+1)
+	// A read-only flight's empty block never falls back to the
+	// session's own numbering.
+	s.SetBlock(ReserveSeqs(&src, 0))
+	if _, err := s.Next(); !errors.Is(err, ErrSeqBlockExhausted) {
+		t.Fatalf("empty block draw err = %v, want ErrSeqBlockExhausted", err)
+	}
+	s.SetBlock(SeqBlock{})
+	if a, _ := s.Next(); a != 1 {
+		t.Fatalf("own numbering starts at %d, want 1", a)
+	}
+	if b, _ := s.Next(); b != 2 {
+		t.Fatalf("own numbering continues at %d, want 2", b)
 	}
 }

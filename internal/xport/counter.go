@@ -25,15 +25,16 @@ import (
 // streams) while the flight retries on fresh sessions under a bounded
 // attempt/deadline budget (SetRetryPolicy). Retries are EXACTLY-ONCE:
 // every pooled session announces the counter's client id, every
-// mutating frame carries a sequence number recorded on the flight's
-// tape, and a retry re-sends the identical (client, seq) pairs so the
-// shards' dedup windows replay frames the dead session had already
-// applied instead of re-executing them. Values stay dense through any
-// absorbed link loss — no gaps, no duplicates.
+// mutating flight reserves one block of sequence numbers and frame i of
+// every attempt carries the block's Base+i, so a retry re-sends the
+// identical (client, seq) pairs and the shards' dedup rings replay
+// frames the dead session had already applied instead of re-executing
+// them. Values stay dense through any absorbed link loss — no gaps, no
+// duplicates.
 type Counter struct {
 	link  Link
 	id    uint64        // client id every pooled session announces
-	seqs  atomic.Uint64 // mutating-frame sequence source, shared by flights
+	seqs  atomic.Uint64 // sequence source flights reserve their blocks from
 	combs []comb
 	pool  *pool
 
@@ -283,7 +284,7 @@ func (t *Counter) Inc(pid int) (int64, error) {
 	cb.flying = true
 	cb.mu.Unlock()
 	var v int64
-	err := t.flight(flightMeta{op: "inc", wire: in, tokens: 1}, func(sess Session) error {
+	err := t.flight(flightMeta{op: "inc", wire: in, tokens: 1}, t.link.SeqSpan(1), func(sess Session) error {
 		var ferr error
 		v, ferr = sess.Inc(pid)
 		return ferr
@@ -327,7 +328,7 @@ func (t *Counter) batch(pid, k int, anti bool, dst []int64) ([]int64, error) {
 	if anti {
 		op = "dec-batch"
 	}
-	err := t.flight(flightMeta{op: op, wire: in, tokens: int64(k)}, func(sess Session) error {
+	err := t.flight(flightMeta{op: op, wire: in, tokens: int64(k)}, t.link.SeqSpan(int64(k)), func(sess Session) error {
 		var ferr error
 		dst, ferr = sess.Batch(in, int64(k), anti, dst[:base])
 		return ferr
@@ -342,7 +343,7 @@ func (t *Counter) batch(pid, k int, anti bool, dst []int64) ([]int64, error) {
 // cells over a pooled session — the exact-count read side.
 func (t *Counter) Read() (int64, error) {
 	var total int64
-	err := t.flight(flightMeta{op: "read", wire: -1}, func(sess Session) error {
+	err := t.flight(flightMeta{op: "read", wire: -1}, 0, func(sess Session) error {
 		var ferr error
 		total, ferr = sess.Read()
 		return ferr
@@ -353,17 +354,25 @@ func (t *Counter) Read() (int64, error) {
 // flight runs one pooled operation: check a session out, run op, and on
 // a link failure evict the session pool-wide and retry on fresh
 // sessions under the counter's attempt/deadline budget — the transparent
-// self-healing path. Sequence numbers are drawn through a tape so every
-// retry re-sends the same (client, seq) pairs and the shards' dedup
-// windows make the retry exactly-once. Close fails new flights with
+// self-healing path. The flight reserves `span` sequence numbers up
+// front (the link's bound on the frames op can send; 0 for reads), and
+// every attempt draws them from the start of that one block, so a retry
+// re-sends the same (client, seq) pairs and the shards' dedup rings
+// make it exactly-once. A walk that overruns its block fails without a
+// retry: the bound is a property of the topology, and replaying the
+// same walk would overrun it again. Close fails new flights with
 // ErrClosed, waits for running ones, and a flight mid-retry observes it
 // between attempts.
 //
 // Every completed flight lands in the latency histograms and the
 // /debug/flights ring. Both are local atomics/mutexed memory — no
 // frames, so the wire bill is bit-identical to the uninstrumented
-// counter (pinned by the conformance frame-bill gate).
-func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
+// counter (pinned by the conformance frame-bill gate). The histograms
+// share boundary timestamps: attempt 1's checkout starts at the flight
+// start, each attempt starts where its checkout ended, and the flight
+// ends where its last attempt ended, so a one-attempt flight reads the
+// clock three times.
+func (t *Counter) flight(meta flightMeta, span uint64, op func(Session) error) (err error) {
 	t.mu.Lock()
 	if t.closed {
 		t.mu.Unlock()
@@ -379,9 +388,9 @@ func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
 
 	var fs flightStats
 	start := time.Now()
+	var end time.Duration // offset of the last attempt's end from start
 	defer func() {
-		d := time.Since(start)
-		t.histFlight.Observe(d.Nanoseconds())
+		t.histFlight.Observe(end.Nanoseconds())
 		t.histAttempts.Observe(int64(fs.attempts))
 		outcome := "ok"
 		if err != nil {
@@ -389,7 +398,7 @@ func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
 		}
 		t.ring.Record(ctlplane.FlightEvent{
 			Start:       start,
-			DurationNs:  d.Nanoseconds(),
+			DurationNs:  end.Nanoseconds(),
 			Op:          meta.op,
 			Wire:        meta.wire,
 			Tokens:      meta.tokens,
@@ -400,15 +409,17 @@ func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
 		})
 	}()
 
-	tape := wire.NewSeqTape(&t.seqs)
+	blk := wire.ReserveSeqs(&t.seqs, span)
 	var deadline time.Time
 	for attempt := 1; ; attempt++ {
+		var checkoutStart time.Duration
 		if attempt > 1 {
 			t.retries.Add(1)
+			checkoutStart = time.Since(start)
 		}
 		fs.attempts = attempt
-		err = t.attempt(op, tape, &fs)
-		if err == nil || errors.Is(err, ErrClosed) {
+		end, err = t.attempt(op, blk, &fs, start, checkoutStart)
+		if err == nil || errors.Is(err, ErrClosed) || errors.Is(err, wire.ErrSeqBlockExhausted) {
 			return err
 		}
 		// A window racing Close must observe it here and hand its
@@ -437,12 +448,15 @@ func (t *Counter) flight(meta flightMeta, op func(Session) error) (err error) {
 	}
 }
 
-func (t *Counter) attempt(op func(Session) error, tape *wire.SeqTape, fs *flightStats) error {
-	checkoutStart := time.Now()
+// attempt runs op once on a checked-out session drawing from blk. Its
+// boundaries are offsets from the flight's start: the checkout began
+// at checkoutStart, and the returned offset is where the attempt ended.
+func (t *Counter) attempt(op func(Session) error, blk wire.SeqBlock, fs *flightStats, start time.Time, checkoutStart time.Duration) (time.Duration, error) {
 	sess, err := t.pool.checkout()
-	t.histCheckout.Observe(time.Since(checkoutStart).Nanoseconds())
+	opStart := time.Since(start)
+	t.histCheckout.Observe((opStart - checkoutStart).Nanoseconds())
 	if err != nil {
-		return err
+		return opStart, err
 	}
 	rpcs0 := sess.RPCs()
 	ps, isPacket := sess.(PacketSession)
@@ -450,12 +464,11 @@ func (t *Counter) attempt(op func(Session) error, tape *wire.SeqTape, fs *flight
 	if isPacket {
 		retrans0 = ps.Retransmits()
 	}
-	tape.Rewind()
-	sess.SetTape(tape)
-	attemptStart := time.Now()
+	sess.SetSeqBlock(blk)
 	err = op(sess)
-	t.histAttempt.Observe(time.Since(attemptStart).Nanoseconds())
-	sess.SetTape(nil)
+	end := time.Since(start)
+	t.histAttempt.Observe((end - opStart).Nanoseconds())
+	sess.SetSeqBlock(wire.SeqBlock{})
 	// Bill the attempt while the session is still exclusively ours —
 	// after checkin another flight may bump its counters.
 	fs.rpcs += sess.RPCs() - rpcs0
@@ -464,10 +477,10 @@ func (t *Counter) attempt(op func(Session) error, tape *wire.SeqTape, fs *flight
 	}
 	if err != nil {
 		t.pool.evict(sess)
-		return err
+		return end, err
 	}
 	t.pool.checkin(sess)
-	return nil
+	return end, nil
 }
 
 // land drains the windows that pooled up behind the owner's flight, one
@@ -486,7 +499,7 @@ func (t *Counter) land(cb *comb, in int) {
 		cb.mu.Unlock()
 		t.windows.Add(1)
 		t.windowTokens.Add(w.k)
-		w.err = t.flight(flightMeta{op: "window", wire: in, tokens: w.k}, func(sess Session) error {
+		w.err = t.flight(flightMeta{op: "window", wire: in, tokens: w.k}, t.link.SeqSpan(w.k), func(sess Session) error {
 			var ferr error
 			w.vals, ferr = sess.Batch(in, w.k, false, w.vals[:0])
 			return ferr

@@ -34,6 +34,23 @@ type Walk struct {
 	dist    []int64
 }
 
+// SeqSpan bounds the mutating frames one k-token walk of n sends, and so
+// sizes a flight's sequence block: a token crosses at most Depth
+// balancers, so k tokens touch at most min(Size, k·Depth) of them (one
+// STEP or STEPN frame each), and land on at most min(OutWidth, k) exit
+// cells (one CELL or CELLN frame each). A single-token Inc or Dec
+// reserves exactly Depth+1; a read reserves nothing.
+func SeqSpan(n *network.Network, k int64) uint64 {
+	if k <= 0 {
+		return 0
+	}
+	steps := int64(n.Size())
+	if k < steps {
+		steps = min(steps, k*int64(n.Depth()))
+	}
+	return uint64(steps + min(int64(n.OutWidth()), k))
+}
+
 // NewWalk builds a walker over the topology partitioned across `shards`
 // servers (shard i owns nodes and cells ≡ i mod shards).
 func NewWalk(n *network.Network, shards int) *Walk {

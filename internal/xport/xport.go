@@ -4,7 +4,7 @@
 // single-flight Counter (concurrent Inc callers entering on the same
 // input wire merge into one in-flight batched pipeline), the per-counter
 // session pool with health-probed checkout and pool-wide eviction, the
-// rewindable seq-tape retry loop under a RetryPolicy+Backoff budget, the
+// seq-block retry loop under a RetryPolicy+Backoff budget, the
 // pid-striped ShardedCounter fleet composition, the drain/ErrClosed
 // shutdown semantics and the ctlplane Source registrations all live
 // here, written once — internal/tcpnet, internal/udpnet and
@@ -14,11 +14,14 @@
 // deployment that can dial sessions under a client id; a Session is a
 // single-goroutine protocol walker the pool checks in and out. The
 // exactly-once machinery (HELLO client ids, seq-numbered v2 frames,
-// dedup windows, the rewindable tape) lives in internal/wire and is
-// shared by every transport's frames, so the Counter's retry loop —
-// rewind the tape, re-run the operation on a fresh session, let the
-// shards replay already-applied sequences — is correct for any Link
-// whose sessions draw their sequence numbers from the tape.
+// dedup rings, per-flight sequence blocks) lives in internal/wire and
+// is shared by every transport's frames. Each mutating flight reserves
+// a block of sequence numbers sized by the link's span bound, and frame
+// i of every attempt carries the block's Base+i, so the Counter's retry
+// loop — re-run the operation on a fresh session from the start of the
+// same block, let the shards replay already-applied sequences — is
+// correct for any Link whose sessions draw their sequence numbers from
+// the block.
 //
 // Adding a transport therefore means implementing Link+Session over the
 // new medium (framing for a stream, packing for datagrams, streams for
@@ -78,10 +81,13 @@ type Session interface {
 	// shared per-frame cost unit (E25–E28); lossy transports count
 	// retransmitted copies.
 	RPCs() int64
-	// SetTape points the session's mutating-frame sequence source at a
-	// flight's rewindable tape (nil restores the session's own
-	// counter). Called by the pool around every flight attempt.
-	SetTape(*wire.SeqTape)
+	// SetSeqBlock points the session's mutating-frame sequence source
+	// at a flight's reserved block, restarting at its Base: frame i of
+	// the attempt carries Base+i, and drawing past the block fails the
+	// frame with wire.ErrSeqBlockExhausted. The zero block restores the
+	// session's own counter. Called by the Counter around every flight
+	// attempt.
+	SetSeqBlock(wire.SeqBlock)
 	// Healthy probes the session without a round trip; the pool evicts
 	// sessions that fail it at checkout. Transports whose sessions
 	// cannot go stale (a UDP socket has no peer state) return true.
@@ -124,6 +130,10 @@ type Link interface {
 	// lets a retry on a fresh session hit the original attempt's dedup
 	// records.
 	Dial(client uint64) (Session, error)
+	// SeqSpan bounds the mutating frames one k-token walk can send — the
+	// size of the sequence block a flight reserves (see SeqSpan). Every
+	// frame-per-balancer transport returns SeqSpan(topology, k).
+	SeqSpan(k int64) uint64
 	// RetryBudget is the transport's default flight-retry time budget
 	// (see SetRetryPolicy): how long after the first failure retries
 	// keep being attempted. TCP redials fail fast (2s); a UDP flight
